@@ -12,7 +12,9 @@ test:
 
 # Architecture lint: apps must go through the runtime kernel's
 # StateStore — no direct storage-client calls and no hand-rolled
-# "{instance}-<suffix>" resource names outside repro/runtime.
+# "{instance}-<suffix>" resource names outside repro/runtime — and
+# each shared decision has one home (trace parsing, DIY_STORAGE,
+# exposition, the fleet engines' billing rule and worker pool).
 lint:
 	@! grep -rn "ctx\.services\.s3_get\|ctx\.services\.s3_put\|ctx\.services\.s3_list\|ctx\.services\.s3_delete\|ctx\.services\.dynamo_" src/repro/apps/ \
 		|| { echo "lint: apps must use kctx.store, not raw storage clients"; exit 1; }
@@ -26,6 +28,8 @@ lint:
 		|| { echo "lint: DIY_STORAGE is read only by repro.plan.plan_from_env"; exit 1; }
 	@! grep -rn '# TYPE ' src/repro --include="*.py" | grep -v "obs/metrics\.py" \
 		|| { echo "lint: only repro.obs.metrics emits Prometheus exposition"; exit 1; }
+	@! grep -rn '_BILLING_GRANULARITY_MICROS\|ProcessPoolExecutor(\|\.Pool(' src/repro --include="*.py" | grep -v "sim/engine\.py" \
+		|| { echo "lint: the 100 ms billing rule and the worker pool live only in repro.sim.engine"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).

@@ -3,26 +3,30 @@
 Three replay paths, one determinism discipline:
 
 ``run_replay_batched``
-    Re-drives a trace through the **batched** engine's billing math
-    (:mod:`repro.sim.scale`): per-tenant chunks, ``sample_block``
-    latency streams under the *same* ``scale/tenant-<t>/<component>``
-    RNG namespaces, the same aggregate metering and single-expression
-    float rollups. Replaying a trace recorded from
-    ``run_fleet(engine="batched")`` with the same :class:`ScaleConfig`
-    reproduces the recorded invoice, per-tenant counts, and SLA report
-    byte for byte — the record→replay **fixpoint**
-    (``tests/sim/test_replay.py``).
+    Re-drives a trace through the batched engine's fold
+    (:func:`repro.sim.engine.fold_chunk`): per-tenant chunks of the
+    config's storage profile, ``sample_block`` latency streams under the
+    *same* ``scale/tenant-<t>/<component>`` RNG namespaces, the same
+    aggregate metering and float rollups. Replaying a trace recorded
+    from ``run_fleet(engine="batched")`` with the same
+    :class:`ScaleConfig` reproduces the recorded invoice, per-tenant
+    counts, and SLA report byte for byte — the record→replay
+    **fixpoint** (``tests/sim/test_replay.py``).
 
 ``run_replay_sharded``
-    Scale-out replay on the **sharded** engine's kernels
-    (:mod:`repro.sim.shard`): the trace is partitioned by the same
-    splitmix64 ``shard_of`` tenant map, workers process whole logical
-    shards, latencies come from ``sample_block_vec`` quantile tables
-    under ``replay/shard-<id>/latency`` namespaces, and the merge is
-    order-independent with integer-exact accumulators. The resulting
+    Scale-out replay on the sharded engine's core
+    (:class:`repro.sim.engine.ShardFold`, :func:`~repro.sim.engine.merge_totals`,
+    :func:`~repro.sim.engine.map_jobs`): the trace is partitioned by the
+    same splitmix64 ``shard_of`` tenant map, workers process whole
+    logical shards, latencies come from ``sample_block_vec`` quantile
+    tables under ``replay/shard-<id>/latency`` namespaces, and the merge
+    is order-independent with integer-exact accumulators. Only the
+    arrival source (the trace columns) and the tenant counting are this
+    module's own. The resulting
     :meth:`ReplayFleetResult.determinism_digest` is byte-identical for
     any worker count and with or without numpy — the same contract
-    ``BENCH_fleet.json`` pins for the synthetic path.
+    ``BENCH_fleet.json`` pins for the synthetic path. It bills the S3
+    profile: :class:`ReplayConfig` has no storage field.
 
 ``run_replay_chaos``
     Replays a trace's per-tenant send schedule through **real app
@@ -34,29 +38,30 @@ Three replay paths, one determinism discipline:
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cloud.billing import BillingMeter, Invoice, UsageKind
+from repro.cloud.billing import BillingMeter, Invoice
 from repro.cloud.pricing import PRICES_2017, PriceBook
 from repro.errors import ConfigurationError
-from repro.sim import vecmath
+from repro.sim.engine import (
+    HANDLER_COMPONENTS,
+    MergedDigests,
+    ShardFold,
+    fleet_sla_report,
+    fold_chunk,
+    map_jobs,
+    merge_totals,
+    meter_requests,
+    meter_rollup,
+)
 from repro.sim.latency import LatencyModel
 from repro.sim.metrics import AvailabilityTracker, MetricSeries, sla_report
 from repro.sim.replay.format import Trace, TraceEvent, trace_digest
 from repro.sim.rng import SeededRng
-from repro.sim.scale import (
-    _BILLING_GRANULARITY_MICROS,
-    _component_rng,
-    _meter_tenant_rollup,
-    HANDLER_COMPONENTS,
-    ScaleConfig,
-)
-from repro.sim.shard import DEFAULT_LOGICAL_SHARDS, _pool_context, shard_of
-from repro.units import MICROS_PER_HOUR
-
-import hashlib
-import json
+from repro.sim.scale import ScaleConfig, _tenant_models
+from repro.sim.shard import DEFAULT_LOGICAL_SHARDS, shard_of
 
 __all__ = [
     "ReplayConfig",
@@ -101,22 +106,6 @@ class ReplayResult:
         }
 
 
-def fleet_sla_report(arrivals: int, latency_ms: Optional[MetricSeries] = None) -> Dict[str, object]:
-    """The synthetic-fleet SLA view: every arrival is a delivered request.
-
-    Both the recorder side (from a FleetResult) and the replay side
-    build their report through this one function, so "SLA reports are
-    byte-identical" is a claim about the underlying counts, not about
-    two formatting paths happening to agree.
-    """
-    tracker = AvailabilityTracker()
-    tracker.attempts = arrivals
-    tracker.successes = arrivals
-    return sla_report(
-        tracker, delivered=arrivals, expected=arrivals, latency_ms=latency_ms
-    )
-
-
 def run_replay_batched(
     trace: Trace, config: ScaleConfig, prices: PriceBook = PRICES_2017,
     health=None,
@@ -145,51 +134,19 @@ def run_replay_batched(
     for event in trace.events:
         counts[event.tenant] += 1
         payloads[event.tenant] += event.payload_bytes
+    components = config.components()
     meter = BillingMeter()
-    memory_mb = config.memory_mb
-    memory_gb = memory_mb / 1024
-    granularity = _BILLING_GRANULARITY_MICROS
-    record_batch = meter.record_batch
     total_billed_ms = 0
     for tenant in range(trace.header.tenants):
-        models = {
-            comp: LatencyModel(rng=_component_rng(config, tenant, comp))
-            for comp in HANDLER_COMPONENTS
-        }
-        remaining = counts[tenant]
+        models = _tenant_models(config, tenant, components)
         tenant_billed = 0
-        while remaining > 0:
-            n = min(remaining, config.chunk)
-            remaining -= n
-            blocks = [
-                models[comp].sample_block(comp, n, memory_mb)
-                for comp in HANDLER_COMPONENTS
-            ]
-            base, s3_put, sqs_send = blocks
-            billed_units = 0
-            if health is None:
-                for i in range(n):
-                    run_micros = base[i] + s3_put[i] + sqs_send[i]
-                    units = -(-run_micros // granularity)
-                    billed_units += units or 1
-            else:
-                run_block = [base[i] + s3_put[i] + sqs_send[i] for i in range(n)]
-                for run_micros in run_block:
-                    units = -(-run_micros // granularity)
-                    billed_units += units or 1
-                health.counter("fleet.requests").inc(n)
-                health.counter("fleet.billed_ms").inc(billed_units * 100)
-                health.histogram("fleet.request_us").observe_block(run_block)
-            tenant_billed += billed_units * 100
-            record_batch(UsageKind.LAMBDA_REQUESTS, float(n), n)
-            record_batch(UsageKind.S3_PUT, float(n), n)
-            record_batch(UsageKind.SQS_REQUESTS, float(n), n)
-        # The same two single-expression float conversions the recorded
-        # run made (scale._meter_tenant_rollup): LAMBDA_GB_SECONDS from
-        # the integer billed-ms accumulator, TRANSFER_OUT_GB from the
-        # exact integer payload sum.
-        meter.record(UsageKind.LAMBDA_GB_SECONDS, tenant_billed * memory_gb / 1000.0)
-        meter.record(UsageKind.TRANSFER_OUT_GB, payloads[tenant] / 1e9)
+        for lo in range(0, counts[tenant], config.chunk):
+            n = min(config.chunk, counts[tenant] - lo)
+            _, _, units = fold_chunk(meter, models, components, n, config.memory_mb, health)
+            tenant_billed += units * 100
+        # The same rollup the recorded run made, from the exact integer
+        # payload sum rather than a per-request size.
+        meter_rollup(meter, config.memory_mb, tenant_billed, payloads[tenant])
         total_billed_ms += tenant_billed
     invoice = Invoice(meter, prices)
     wall = time.perf_counter() - start
@@ -297,95 +254,38 @@ def replay_shard(
     stride: int,
     collect_health: bool = False,
 ) -> ReplayShardResult:
-    """Replay one shard's recorded arrivals on the vectorized kernels.
+    """Replay one shard's recorded arrivals on the core's vectorized fold.
 
     Latencies draw from ``replay/shard-<id>/latency`` — one stream per
     logical shard, components sampled in ``HANDLER_COMPONENTS`` order
     per chunk, exactly like :func:`repro.sim.shard.run_shard` — so the
     result is a pure function of ``(columns, shard_id, config,
-    stride)``. The numpy and fallback paths execute the same integer
-    arithmetic and the same float divisions, so they agree bitwise.
+    stride)``. Payload bytes and per-tenant counts come from the trace
+    columns as exact integers.
     """
     start = time.perf_counter()
     at_col, tenant_col, payload_col = columns
-    n_events = len(at_col)
-    np = vecmath.numpy_or_none()
-    health = None
-    if collect_health:
-        from repro.obs.metrics import MetricsPlane
-
-        health = MetricsPlane()
-    model = LatencyModel(rng=SeededRng(config.seed, f"replay/shard-{shard_id}/latency"))
-    memory_mb = config.memory_mb
-    granularity = _BILLING_GRANULARITY_MICROS
-    counts: Dict[int, int] = {}
-    hod = np.zeros(24, dtype=np.int64) if np is not None else [0] * 24
-    billed_units = 0
-    payload_total = 0
-    latency_ms: List[float] = []
-    events = 0
-    for lo in range(0, n_events, config.chunk_events):
-        hi = min(lo + config.chunk_events, n_events)
-        n = hi - lo
-        base = model.sample_block_vec("lambda.handler_base", n, memory_mb)
-        s3_put = model.sample_block_vec("s3.put", n, memory_mb)
-        sqs_send = model.sample_block_vec("sqs.send", n, memory_mb)
-        first = (-events) % stride
-        if np is not None and not isinstance(base, list):
-            run_micros = base + s3_put + sqs_send
-            units = (run_micros + (granularity - 1)) // granularity
-            np.maximum(units, 1, out=units)
-            billed_units += int(units.sum())
-            payload_total += int(np.asarray(payload_col[lo:hi], dtype=np.int64).sum())
-            hours = (np.asarray(at_col[lo:hi], dtype=np.int64) // MICROS_PER_HOUR) % 24
-            hod += np.bincount(hours, minlength=24)
-            tenants = np.asarray(tenant_col[lo:hi], dtype=np.int64)
-            uniques, chunk_counts = np.unique(tenants, return_counts=True)
-            for tenant, count in zip(uniques.tolist(), chunk_counts.tolist()):
-                counts[tenant] = counts.get(tenant, 0) + count
-            if first < n:
-                picks = run_micros[first::stride]
-                latency_ms.extend((picks / 1000.0).tolist())
-            if health is not None:
-                health.histogram("fleet.request_us").observe_block(run_micros)
-        else:
-            if health is not None:
-                health.histogram("fleet.request_us").observe_block(
-                    [base[i] + s3_put[i] + sqs_send[i] for i in range(n)]
-                )
-            for i in range(n):
-                run_micros = base[i] + s3_put[i] + sqs_send[i]
-                units = (run_micros + (granularity - 1)) // granularity
-                billed_units += units if units > 0 else 1
-                if i >= first and (i - first) % stride == 0:
-                    latency_ms.append(run_micros / 1000.0)
-            for payload in payload_col[lo:hi]:
-                payload_total += payload
-            for at_micros in at_col[lo:hi]:
-                hod[(at_micros // MICROS_PER_HOUR) % 24] += 1
-            for tenant in tenant_col[lo:hi]:
-                counts[tenant] = counts.get(tenant, 0) + 1
-        events += n
-    if health is not None:
-        health.counter("fleet.requests").inc(events)
-        health.counter("fleet.billed_ms").inc(billed_units * 100)
+    fold = ShardFold(
+        LatencyModel(rng=SeededRng(config.seed, f"replay/shard-{shard_id}/latency")),
+        HANDLER_COMPONENTS, config.memory_mb, stride, collect_health,
+    )
+    for lo in range(0, len(at_col), config.chunk_events):
+        fold.add(at_col[lo:lo + config.chunk_events])
+    fold.count_health()
     return ReplayShardResult(
         shard_id=shard_id,
-        events=events,
-        billed_units=billed_units,
-        payload_bytes=payload_total,
-        tenant_counts=sorted(counts.items()),
-        latency_ms=latency_ms,
-        hod_hist=[int(h) for h in hod],
-        samples_drawn=model.samples_drawn,
+        payload_bytes=sum(payload_col),
+        tenant_counts=sorted(Counter(tenant_col).items()),
         run_seconds=time.perf_counter() - start,
-        health=health,
+        **fold.fields(),
     )
 
 
 @dataclass
-class ReplayFleetResult:
+class ReplayFleetResult(MergedDigests):
     """The merged sharded replay: exact totals, invoice, SLA view."""
+
+    DIGEST_FIELDS = ("trace_sha256", "events", "billed_units", "payload_bytes", "invoice_total")
 
     trace_name: str
     trace_sha256: str
@@ -407,34 +307,6 @@ class ReplayFleetResult:
     # Merged health plane when shards collected health.
     health: Optional[object] = None
 
-    def total_billed_ms(self) -> int:
-        return self.billed_units * 100
-
-    def counts_sha256(self) -> str:
-        payload = ",".join(map(str, self.tenant_counts)).encode("ascii")
-        return hashlib.sha256(payload).hexdigest()
-
-    def exposition_sha256(self) -> Optional[str]:
-        if self.health is None:
-            return None
-        return hashlib.sha256(self.health.to_jsonl().encode("ascii")).hexdigest()
-
-    def determinism_digest(self) -> Dict[str, object]:
-        """Everything two replays of the same trace must agree on."""
-        digest = {
-            "trace_sha256": self.trace_sha256,
-            "events": self.events,
-            "billed_units": self.billed_units,
-            "payload_bytes": self.payload_bytes,
-            "invoice_total": self.invoice_total,
-            "tenant_counts_sha256": self.counts_sha256(),
-            "sla_report": json.loads(json.dumps(self.report)),
-            "latency_p99_ms": self.latency.p99() if len(self.latency) else None,
-        }
-        if self.health is not None:
-            digest["exposition_sha256"] = self.exposition_sha256()
-        return digest
-
 
 def merge_replay(
     trace: Trace,
@@ -444,84 +316,41 @@ def merge_replay(
 ) -> ReplayFleetResult:
     """Fold shard replays into fleet totals, order-independently.
 
-    Mirrors :func:`repro.sim.shard.merge_shards`: canonicalize by shard
-    id, add exact integers, convert to billable floats once from the
-    merged integers. The transfer bill comes from the trace's exact
+    Shares :func:`repro.sim.engine.merge_totals` with
+    :func:`repro.sim.shard.merge_shards`: canonicalize by shard id, add
+    exact integers, convert to billable floats once from the merged
+    integers. The transfer bill comes from the trace's exact
     payload-byte sum, not a config-level per-request size.
     """
-    ordered = sorted(results, key=lambda r: r.shard_id)
-    if len({r.shard_id for r in ordered}) != len(ordered):
-        raise ConfigurationError("duplicate shard id in replay merge")
-    health = None
-    if any(r.health is not None for r in ordered):
-        from repro.obs.metrics import MetricsPlane
-
-        health = MetricsPlane()
-        for result in ordered:
-            if result.health is not None:
-                health.merge(result.health)
-    tenant_counts = [0] * trace.header.tenants
-    events = 0
-    billed_units = 0
-    payload_total = 0
-    samples_drawn = 0
-    hod = [0] * 24
-    shard_events = [0] * config.logical_shards
-    latency = MetricSeries("replay.e2e_ms", "ms")
-    for result in ordered:
-        for tenant, count in result.tenant_counts:
-            tenant_counts[tenant] += count
-        events += result.events
-        billed_units += result.billed_units
-        payload_total += result.payload_bytes
-        samples_drawn += result.samples_drawn
-        shard_events[result.shard_id] = result.events
-        for hour in range(24):
-            hod[hour] += result.hod_hist[hour]
-        shard_series = MetricSeries(f"replay-shard-{result.shard_id}.e2e_ms", "ms")
-        shard_series.extend(result.latency_ms)
-        latency.merge(shard_series)
+    ordered, totals = merge_totals(results, config.logical_shards, "replay.e2e_ms")
+    events = totals["events"]
     if events != len(trace.events):
         raise ConfigurationError(
             f"replay lost events: trace holds {len(trace.events)}, shards replayed {events}"
         )
+    tenant_counts = [0] * trace.header.tenants
+    for result in ordered:
+        for tenant, count in result.tenant_counts:
+            tenant_counts[tenant] += count
+    payload_total = sum(r.payload_bytes for r in ordered)
     meter = BillingMeter()
-    total_billed_ms = billed_units * 100
-    memory_gb = config.memory_mb / 1024
-    meter.record_batch(UsageKind.LAMBDA_REQUESTS, float(events), events)
-    meter.record_batch(UsageKind.S3_PUT, float(events), events)
-    meter.record_batch(UsageKind.SQS_REQUESTS, float(events), events)
-    meter.record(UsageKind.LAMBDA_GB_SECONDS, total_billed_ms * memory_gb / 1000.0)
-    meter.record(UsageKind.TRANSFER_OUT_GB, payload_total / 1e9)
+    meter_requests(meter, HANDLER_COMPONENTS, events)
+    meter_rollup(meter, config.memory_mb, totals["billed_units"] * 100, payload_total)
     invoice = Invoice(meter, prices)
     return ReplayFleetResult(
         trace_name=trace.header.name,
         trace_sha256=trace_digest(trace),
         config=config,
         workers=0,  # set by run_replay_sharded
-        events=events,
-        billed_units=billed_units,
         payload_bytes=payload_total,
         tenant_counts=tenant_counts,
-        hod_hist=hod,
-        shard_events=shard_events,
-        samples_drawn=samples_drawn,
-        latency=latency,
         meter=meter,
         invoice=invoice,
         invoice_total=str(invoice.total()),
-        report=fleet_sla_report(events, latency),
+        report=fleet_sla_report(events, totals["latency"]),
         wall_seconds=0.0,
-        health=health,
+        **totals,
     )
-
-
-def _replay_job(
-    payload: Tuple[ShardColumns, int, ReplayConfig, int, bool]
-) -> ReplayShardResult:
-    """Module-level worker entry point (picklable for the process pool)."""
-    columns, shard_id, config, stride, collect_health = payload
-    return replay_shard(columns, shard_id, config, stride, collect_health)
 
 
 def run_replay_sharded(
@@ -540,8 +369,6 @@ def run_replay_sharded(
     order-independently, exactly like
     :func:`repro.sim.shard.run_fleet_sharded`.
     """
-    if workers <= 0:
-        raise ConfigurationError(f"worker count must be positive, got {workers}")
     config = config or ReplayConfig()
     start = time.perf_counter()
     stride = _replay_stride(len(trace.events), config)
@@ -550,14 +377,7 @@ def run_replay_sharded(
         (columns[shard_id], shard_id, config, stride, collect_health)
         for shard_id in range(config.logical_shards)
     ]
-    if workers == 1 or config.logical_shards == 1:
-        results = [replay_shard(*job) for job in jobs]
-    else:
-        ctx = _pool_context()
-        pool_size = min(workers, config.logical_shards)
-        chunksize = max(1, config.logical_shards // (pool_size * 4))
-        with ctx.Pool(pool_size) as pool:
-            results = pool.map(_replay_job, jobs, chunksize=chunksize)
+    results = map_jobs(replay_shard, jobs, workers)
     merged = merge_replay(trace, config, results, prices)
     merged.workers = workers
     merged.wall_seconds = time.perf_counter() - start
@@ -586,10 +406,8 @@ def run_replay_chaos(
     the paper's resilience claim on *recorded* traffic: 100% eventual
     delivery per seed (``tests/sim/test_replay.py``).
     """
-    from repro.apps.chat import ChatClient, ChatService, chat_manifest
     from repro.cloud.provider import CloudProvider
-    from repro.core.deployment import Deployer
-    from repro.sim.scale import _schedule_chaos, ChaosConfig
+    from repro.sim.scale import ChaosConfig, _chat_pair, _schedule_chaos, _settle
     from repro.units import seconds
 
     by_tenant: Dict[int, List[TraceEvent]] = {}
@@ -606,17 +424,7 @@ def run_replay_chaos(
         events = by_tenant[tenant]
         provider = CloudProvider(name=f"replay-{trace.header.name}-{tenant}",
                                  seed=trace.header.seed)
-        app = Deployer(provider).deploy(
-            chat_manifest(memory_mb=memory_mb, storage=storage), owner="alice"
-        )
-        service = ChatService(app)
-        service.create_room("room", ["alice@diy", "bob@diy"])
-        alice = ChatClient(service, "alice@diy")
-        alice.join("room")
-        alice.connect()
-        bob = ChatClient(service, "bob@diy")
-        bob.join("room")
-        bob.connect()
+        alice, bob = _chat_pair(provider, memory_mb, storage)
 
         base = events[0].at_micros
         horizon = max(events[-1].at_micros - base, seconds(1))
@@ -642,26 +450,7 @@ def run_replay_chaos(
                 for message in bob.poll(wait_seconds=0):
                     received_bodies.add(message.body)
 
-        # Settle: outrun every fault window, drain, poll until dry.
-        provider.clock.advance(horizon)
-        for _ in range(5):
-            if not alice.outbox:
-                break
-            alice.drain_outbox()
-            provider.clock.advance(seconds(5))
-        empty_polls = 0
-        while empty_polls < 2:
-            received = bob.poll(wait_seconds=0)
-            if received:
-                received_bodies.update(message.body for message in received)
-                empty_polls = 0
-            else:
-                empty_polls += 1
-            provider.clock.advance(seconds(1))
-
-        tracker = AvailabilityTracker()
-        tracker.merge(alice.tracker)
-        tracker.merge(bob.tracker)
+        tracker = _settle(provider, alice, bob, horizon, received_bodies)
         latency = provider.metrics.get("chat.e2e_ms")
         delivered = len(received_bodies.intersection(bodies))
         report = sla_report(

@@ -22,15 +22,18 @@ Three interchangeable engines run the identical scenario:
 
 ``batched``
     The throughput path: :meth:`DiurnalWorkload.arrival_batches` chunks
-    of bare timestamps, :meth:`LatencyModel.sample_block` per-component
-    blocks, and :meth:`BillingMeter.record_batch` aggregate metering.
+    of bare timestamps billed by the fleet-engine core's scalar fold
+    (:func:`repro.sim.engine.fold_chunk`: ``sample_block`` per
+    component, aggregate metering).
 
 All three consume identical RNG streams (workload draws from one seeded
 stream per tenant; each latency component draws from its own, so block
-sampling reorders nothing) and accumulate billing quantities as exact
-integers, so a given :class:`ScaleConfig` produces **byte-identical
-invoice totals and arrival counts** on every engine. The only thing
-that changes is events per second.
+sampling reorders nothing), bill through the core's one 100 ms rule
+(:func:`repro.sim.engine.billed_units`) and convert to float quantities
+once per tenant (:func:`repro.sim.engine.meter_rollup`), so a given
+:class:`ScaleConfig` produces **byte-identical invoice totals and
+arrival counts** on every engine. The only thing that changes is events
+per second.
 """
 
 from __future__ import annotations
@@ -46,6 +49,16 @@ from repro.obs.collector import TraceCollector
 from repro.obs.trace import Tracer
 from repro.sim import _legacy
 from repro.sim.clock import SimClock
+from repro.sim.engine import (
+    HANDLER_COMPONENTS,
+    billed_units,
+    fold_chunk,
+    gb_seconds,
+    handler_components,
+    map_jobs,
+    meter_rollup,
+    store_usage,
+)
 from repro.sim.event import EventLoop
 from repro.sim.latency import LatencyModel
 from repro.sim.metrics import AvailabilityTracker, MetricSeries, sla_report
@@ -73,33 +86,27 @@ __all__ = [
 
 SCALE_ENGINES = ("legacy", "inline", "batched")
 
-# The per-request handler profile: invocation overhead plus the §6.2
-# chat prototype's dominant service calls (store ciphertext, notify).
-HANDLER_COMPONENTS: Tuple[str, ...] = ("lambda.handler_base", "s3.put", "sqs.send")
 
-_BILLING_GRANULARITY_MICROS = 100_000  # Lambda bills in 100 ms increments
-_USAGE_PER_COMPONENT: Dict[str, UsageKind] = {
-    "s3.put": UsageKind.S3_PUT,
-    "dynamo.put": UsageKind.DYNAMO_WRITES,
-    "sqs.send": UsageKind.SQS_REQUESTS,
-}
+class PlanKnobs:
+    """A config whose storage and memory knobs can come from a plan."""
 
+    @classmethod
+    def from_plan(cls, plan, **overrides):
+        """A config whose knobs come from a :class:`~repro.plan.DeploymentPlan`.
 
-def handler_components(storage: str = "s3") -> Tuple[str, ...]:
-    """The per-request component profile for one storage backend.
-
-    ``"s3"`` is :data:`HANDLER_COMPONENTS` itself — same strings, same
-    RNG namespaces, so default configs stay byte-identical to the
-    seed-era goldens. ``"dynamo"`` swaps the state write for the KV
-    backend's component (its own canonical stream).
-    """
-    if storage == "dynamo":
-        return ("lambda.handler_base", "dynamo.put", "sqs.send")
-    return HANDLER_COMPONENTS
+        The plan sets storage and (when not ``None``) memory; keyword
+        ``overrides`` set everything else. The default plan reproduces
+        the default config exactly.
+        """
+        fields: Dict[str, object] = {"storage": plan.storage}
+        if plan.memory_mb is not None:
+            fields["memory_mb"] = plan.memory_mb
+        fields.update(overrides)
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
-class ScaleConfig:
+class ScaleConfig(PlanKnobs):
     """One fleet scenario: ``tenants`` accounts over ``days`` virtual days."""
 
     tenants: int = 8
@@ -122,20 +129,6 @@ class ScaleConfig:
             raise ConfigurationError(
                 f"storage must be one of {STORAGE_BACKENDS}, got {self.storage!r}"
             )
-
-    @classmethod
-    def from_plan(cls, plan, **overrides) -> "ScaleConfig":
-        """A fleet config whose knobs come from a :class:`~repro.plan.DeploymentPlan`.
-
-        The plan sets storage and (when not ``None``) memory; keyword
-        ``overrides`` set everything else. The default plan reproduces
-        ``ScaleConfig()`` exactly.
-        """
-        fields: Dict[str, object] = {"storage": plan.storage}
-        if plan.memory_mb is not None:
-            fields["memory_mb"] = plan.memory_mb
-        fields.update(overrides)
-        return cls(**fields)
 
     def components(self) -> Tuple[str, ...]:
         return handler_components(self.storage)
@@ -195,24 +188,13 @@ def _component_rng(config: ScaleConfig, tenant: int, component: str) -> SeededRn
     return SeededRng(config.seed, f"scale/tenant-{tenant}/{component}")
 
 
-def _billed_ms(run_micros: int) -> int:
-    """Lambda billing: round run time up to the 100 ms granularity."""
-    units = -(-run_micros // _BILLING_GRANULARITY_MICROS)  # ceil-div
-    return (units or 1) * 100
-
-
-def _meter_tenant_rollup(
-    meter: BillingMeter, config: ScaleConfig, count: int, total_billed_ms: int
-) -> None:
-    """Aggregate per-tenant charges, identical float ops on every engine.
-
-    The exact integer accumulators (``count``, ``total_billed_ms``) are
-    converted to billable float quantities in one expression each, so the
-    resulting invoice is byte-identical however the events were metered.
-    """
-    memory_gb = config.memory_mb / 1024
-    meter.record(UsageKind.LAMBDA_GB_SECONDS, total_billed_ms * memory_gb / 1000.0)
-    meter.record(UsageKind.TRANSFER_OUT_GB, count * config.payload_bytes / 1e9)
+def _tenant_models(
+    config: ScaleConfig, tenant: int, components: Tuple[str, ...]
+) -> Dict[str, LatencyModel]:
+    """One latency model per component, each on its own tenant stream."""
+    return {
+        comp: LatencyModel(rng=_component_rng(config, tenant, comp)) for comp in components
+    }
 
 
 def run_fleet(
@@ -275,7 +257,7 @@ def run_fleet(
                 count, billed = _tenant_inline(config, tenant, meter)
             else:
                 count, billed = _tenant_legacy(config, tenant, meter)
-            _meter_tenant_rollup(meter, config, count, billed)
+            meter_rollup(meter, config.memory_mb, billed, count * config.payload_bytes)
             per_tenant.append(count)
             total_billed_ms += billed
             samples += count * len(HANDLER_COMPONENTS)
@@ -307,7 +289,7 @@ def _tenant_batched(
     config: ScaleConfig, tenant: int, meter: BillingMeter, tracer: Tracer = None,
     recorder=None, health=None,
 ) -> Tuple[int, int]:
-    """Chunked timestamps, block sampling, aggregate metering.
+    """Chunked timestamps billed by the core's scalar fold.
 
     With a tracer attached, head sampling is decided per chunk in one
     arithmetic call (:meth:`TraceCollector.admit_batch`) and only the
@@ -323,79 +305,57 @@ def _tenant_batched(
     workload = DiurnalWorkload(
         config.daily_requests, _workload_rng(config, tenant), HOURLY_PROFILE_PERSONAL
     )
-    models = {
-        comp: LatencyModel(rng=_component_rng(config, tenant, comp))
-        for comp in components
-    }
-    store_comp = components[1]
-    store_kind = _USAGE_PER_COMPONENT[store_comp]
-    memory_mb = config.memory_mb
-    memory_gb = memory_mb / 1024
-    granularity = _BILLING_GRANULARITY_MICROS
+    models = _tenant_models(config, tenant, components)
     count = 0
     total_billed_ms = 0
-    record_batch = meter.record_batch
     for chunk in workload.arrival_batches(config.days, chunk=config.chunk):
         n = len(chunk)
         if recorder is not None:
             recorder.record_fleet_chunk(tenant, chunk, config.payload_bytes)
-        blocks = [
-            models[comp].sample_block(comp, n, memory_mb) for comp in components
-        ]
-        base, store_put, sqs_send = blocks
-        billed_units = 0
-        if health is None:
-            for i in range(n):
-                run_micros = base[i] + store_put[i] + sqs_send[i]
-                units = -(-run_micros // granularity)
-                billed_units += units or 1
-        else:
-            run_block = [base[i] + store_put[i] + sqs_send[i] for i in range(n)]
-            for run_micros in run_block:
-                units = -(-run_micros // granularity)
-                billed_units += units or 1
-            health.counter("fleet.requests").inc(n)
-            health.counter("fleet.billed_ms").inc(billed_units * 100)
-            health.histogram("fleet.request_us").observe_block(run_block)
+        blocks, run_micros, units = fold_chunk(
+            meter, models, components, n, config.memory_mb, health
+        )
         if tracer is not None:
-            # The billing loop above is identical with tracing on or
-            # off; only the head-sampled requests (a stride over the
-            # chunk, typically 1/64th) pay for span materialization.
-            for i in tracer.collector.admit_batch(n):
-                run_micros = base[i] + store_put[i] + sqs_send[i]
-                billed_ms_i = ((-(-run_micros // granularity)) or 1) * 100
-                tracer.record_request(
-                    chunk[i],
-                    (
-                        ("lambda.handler_base", base[i], None),
-                        (store_comp, store_put[i], (store_kind, 1.0)),
-                        ("sqs.send", sqs_send[i], (UsageKind.SQS_REQUESTS, 1.0)),
-                    ),
-                    root_usage=(
-                        (UsageKind.LAMBDA_REQUESTS, 1.0),
-                        (UsageKind.LAMBDA_GB_SECONDS, billed_ms_i * memory_gb / 1000.0),
-                    ),
-                    root_attrs={"tenant": tenant, "billed_ms": billed_ms_i},
-                )
-        total_billed_ms += billed_units * 100
-        record_batch(UsageKind.LAMBDA_REQUESTS, float(n), n)
-        record_batch(store_kind, float(n), n)
-        record_batch(UsageKind.SQS_REQUESTS, float(n), n)
+            _trace_chunk(tracer, config, tenant, chunk, components, blocks, run_micros)
+        total_billed_ms += units * 100
         count += n
     return count, total_billed_ms
+
+
+def _trace_chunk(tracer, config, tenant, chunk, components, blocks, run_micros) -> None:
+    """Span trees for a chunk's head-sampled requests (typically 1/64th).
+
+    Reads the already-sampled blocks, so the billing fold is identical
+    with tracing on or off.
+    """
+    base, store, send = blocks
+    store_comp = components[1]
+    store_kind = store_usage(components)
+    for i in tracer.collector.admit_batch(len(chunk)):
+        billed_ms = billed_units(run_micros[i]) * 100
+        tracer.record_request(
+            chunk[i],
+            (
+                ("lambda.handler_base", base[i], None),
+                (store_comp, store[i], (store_kind, 1.0)),
+                ("sqs.send", send[i], (UsageKind.SQS_REQUESTS, 1.0)),
+            ),
+            root_usage=(
+                (UsageKind.LAMBDA_REQUESTS, 1.0),
+                (UsageKind.LAMBDA_GB_SECONDS, gb_seconds(billed_ms, config.memory_mb)),
+            ),
+            root_attrs={"tenant": tenant, "billed_ms": billed_ms},
+        )
 
 
 def _tenant_inline(config: ScaleConfig, tenant: int, meter: BillingMeter) -> Tuple[int, int]:
     """The current library's per-event objects, one meter call per event."""
     components = config.components()
-    store_kind = _USAGE_PER_COMPONENT[components[1]]
+    store_kind = store_usage(components)
     workload = DiurnalWorkload(
         config.daily_requests, _workload_rng(config, tenant), HOURLY_PROFILE_PERSONAL
     )
-    models = {
-        comp: LatencyModel(rng=_component_rng(config, tenant, comp))
-        for comp in components
-    }
+    models = _tenant_models(config, tenant, components)
     memory_mb = config.memory_mb
     count = 0
     total_billed_ms = 0
@@ -403,7 +363,7 @@ def _tenant_inline(config: ScaleConfig, tenant: int, meter: BillingMeter) -> Tup
         run_micros = 0
         for comp in components:
             run_micros += models[comp].sample(comp, memory_mb).micros
-        total_billed_ms += _billed_ms(run_micros)
+        total_billed_ms += billed_units(run_micros) * 100
         meter.record(UsageKind.LAMBDA_REQUESTS, 1.0)
         meter.record(store_kind, 1.0)
         meter.record(UsageKind.SQS_REQUESTS, 1.0)
@@ -414,7 +374,7 @@ def _tenant_inline(config: ScaleConfig, tenant: int, meter: BillingMeter) -> Tup
 def _tenant_legacy(config: ScaleConfig, tenant: int, meter: BillingMeter) -> Tuple[int, int]:
     """The seed-era hot paths, preserved in :mod:`repro.sim._legacy`."""
     components = config.components()
-    store_kind = _USAGE_PER_COMPONENT[components[1]]
+    store_kind = store_usage(components)
     rng = _workload_rng(config, tenant)
     rngs = {comp: _component_rng(config, tenant, comp) for comp in components}
     memory_mb = config.memory_mb
@@ -426,7 +386,7 @@ def _tenant_legacy(config: ScaleConfig, tenant: int, meter: BillingMeter) -> Tup
         run_micros = 0
         for comp in components:
             run_micros += _legacy.legacy_sample(rngs[comp], comp, memory_mb=memory_mb).micros
-        total_billed_ms += _billed_ms(run_micros)
+        total_billed_ms += billed_units(run_micros) * 100
         meter.record(UsageKind.LAMBDA_REQUESTS, 1.0)
         meter.record(store_kind, 1.0)
         meter.record(UsageKind.SQS_REQUESTS, 1.0)
@@ -438,7 +398,7 @@ def _tenant_legacy(config: ScaleConfig, tenant: int, meter: BillingMeter) -> Tup
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
+class ChaosConfig(PlanKnobs):
     """A Table 3 chat workload re-run under fault injection.
 
     Each tenant is a full :class:`~repro.cloud.provider.CloudProvider`
@@ -471,20 +431,6 @@ class ChaosConfig:
             raise ConfigurationError(
                 f"storage must be one of {STORAGE_BACKENDS}, got {self.storage!r}"
             )
-
-    @classmethod
-    def from_plan(cls, plan, **overrides) -> "ChaosConfig":
-        """A chaos scenario whose knobs come from a :class:`~repro.plan.DeploymentPlan`.
-
-        The plan sets storage and (when not ``None``) memory; keyword
-        ``overrides`` set everything else. The default plan reproduces
-        ``ChaosConfig()`` exactly.
-        """
-        fields: Dict[str, object] = {"storage": plan.storage}
-        if plan.memory_mb is not None:
-            fields["memory_mb"] = plan.memory_mb
-        fields.update(overrides)
-        return cls(**fields)
 
     def expected_messages(self) -> int:
         return self.tenants * self.messages
@@ -526,44 +472,31 @@ def _schedule_chaos(provider, config: ChaosConfig, start: int, horizon: int) -> 
     )
 
 
-def _chaos_tenant(
-    config: ChaosConfig, tenant: int, chaos: bool
-) -> Tuple[Dict[str, object], AvailabilityTracker]:
-    """Run one tenant's chat workload; returns (SLA report, raw tracker)."""
+def _chat_pair(provider, memory_mb: int, storage: str) -> List[object]:
+    """Deploy the chat app and connect alice and bob to one room."""
     from repro.apps.chat import ChatClient, ChatService, chat_manifest
-    from repro.cloud.provider import CloudProvider
     from repro.core.deployment import Deployer
 
-    provider = CloudProvider(name=f"chaos-{tenant}", seed=config.seed)
     app = Deployer(provider).deploy(
-        chat_manifest(memory_mb=config.memory_mb, storage=config.storage),
-        owner="alice",
+        chat_manifest(memory_mb=memory_mb, storage=storage), owner="alice"
     )
     service = ChatService(app)
     service.create_room("room", ["alice@diy", "bob@diy"])
-    alice = ChatClient(service, "alice@diy")
-    alice.join("room")
-    alice.connect()
-    bob = ChatClient(service, "bob@diy")
-    bob.join("room")
-    bob.connect()
+    clients = []
+    for name in ("alice@diy", "bob@diy"):
+        client = ChatClient(service, name)
+        client.join("room")
+        client.connect()
+        clients.append(client)
+    return clients
 
-    horizon = config.messages * config.send_gap_micros
-    start = provider.clock.now
-    if chaos:
-        _schedule_chaos(provider, config, start, horizon)
 
-    bodies = [f"msg-{tenant}-{i}" for i in range(config.messages)]
-    delivered = set()
-    for i, body in enumerate(bodies):
-        alice.send("room", body)
-        provider.clock.advance(config.send_gap_micros)
-        if i % 3 == 2:
-            for received in bob.poll(wait_seconds=0):
-                delivered.add(received.body)
+def _settle(provider, alice, bob, horizon: int, delivered: set) -> AvailabilityTracker:
+    """Move past every fault window, drain the outbox, poll until dry.
 
-    # Settle: move past every fault window, then drain the outbox and
-    # poll until the inbox runs dry.
+    Adds every body bob receives to ``delivered``; returns both
+    clients' merged tracker.
+    """
     provider.clock.advance(horizon)
     for _ in range(5):
         if not alice.outbox:
@@ -579,10 +512,36 @@ def _chaos_tenant(
         else:
             empty_polls += 1
         provider.clock.advance(seconds(1))
-
     tracker = AvailabilityTracker()
     tracker.merge(alice.tracker)
     tracker.merge(bob.tracker)
+    return tracker
+
+
+def _chaos_tenant(
+    config: ChaosConfig, tenant: int, chaos: bool
+) -> Tuple[Dict[str, object], AvailabilityTracker]:
+    """Run one tenant's chat workload; returns (SLA report, raw tracker)."""
+    from repro.cloud.provider import CloudProvider
+
+    provider = CloudProvider(name=f"chaos-{tenant}", seed=config.seed)
+    alice, bob = _chat_pair(provider, config.memory_mb, config.storage)
+
+    horizon = config.messages * config.send_gap_micros
+    start = provider.clock.now
+    if chaos:
+        _schedule_chaos(provider, config, start, horizon)
+
+    bodies = [f"msg-{tenant}-{i}" for i in range(config.messages)]
+    delivered = set()
+    for i, body in enumerate(bodies):
+        alice.send("room", body)
+        provider.clock.advance(config.send_gap_micros)
+        if i % 3 == 2:
+            for received in bob.poll(wait_seconds=0):
+                delivered.add(received.body)
+
+    tracker = _settle(provider, alice, bob, horizon, delivered)
     region = provider.home_region.name
     latency = provider.metrics.get("chat.e2e_ms")
     report = sla_report(
@@ -600,14 +559,6 @@ def _chaos_tenant(
     report["undelivered"] = sorted(set(bodies) - delivered)
     report["_latency_samples"] = latency.samples if latency is not None else []
     return report, tracker
-
-
-def _chaos_job(
-    payload: Tuple[ChaosConfig, int, bool]
-) -> Tuple[Dict[str, object], AvailabilityTracker]:
-    """Module-level worker entry point for the sharded chaos fleet."""
-    config, tenant, chaos = payload
-    return _chaos_tenant(config, tenant, chaos)
 
 
 def run_chaos_fleet(
@@ -628,18 +579,9 @@ def run_chaos_fleet(
     results in tenant order, so the report is byte-identical to the
     sequential run (``tests/sim/test_chaos_fleet.py``).
     """
-    if workers <= 0:
-        raise ConfigurationError(f"worker count must be positive, got {workers}")
-    if workers == 1 or config.tenants == 1:
-        tenant_runs = [
-            _chaos_tenant(config, tenant, chaos) for tenant in range(config.tenants)
-        ]
-    else:
-        from repro.sim.shard import _pool_context
-
-        jobs = [(config, tenant, chaos) for tenant in range(config.tenants)]
-        with _pool_context().Pool(min(workers, config.tenants)) as pool:
-            tenant_runs = pool.map(_chaos_job, jobs)
+    tenant_runs = map_jobs(
+        _chaos_tenant, [(config, tenant, chaos) for tenant in range(config.tenants)], workers
+    )
     fleet_tracker = AvailabilityTracker()
     fleet_latency = MetricSeries("chaos.e2e_ms", "ms")
     per_tenant: List[Dict[str, object]] = []

@@ -15,8 +15,17 @@ shard runs independently on the bit-reproducible kernels in
   exact, and 1-D vectorizable);
 * per-request latencies come from :meth:`LatencyModel.sample_block_vec
   <repro.sim.latency.LatencyModel.sample_block_vec>` quantile tables;
-* billing stays in exact integer accumulators until a single
-  fleet-level float conversion after the merge.
+* billing is the fleet-engine core's vectorized fold
+  (:class:`repro.sim.engine.ShardFold`), in exact integer accumulators
+  until a single fleet-level float conversion after the merge
+  (:func:`repro.sim.engine.meter_rollup`).
+
+What is this engine's own is the arrival source — a pooled workload
+per shard, each arrival assigned to a tenant by one ``assign`` draw —
+and the tenant map. The shard loop, the merge's shared part
+(:func:`repro.sim.engine.merge_totals`) and the worker pool
+(:func:`repro.sim.engine.map_jobs`) are the core's, shared with the
+sharded replayer.
 
 Determinism contract (``tests/sim/test_shard_fleet.py``):
 
@@ -42,11 +51,9 @@ seed-era goldens stay untouched.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import multiprocessing
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,21 +61,24 @@ from repro.cloud.billing import BillingMeter, Invoice, UsageKind
 from repro.cloud.pricing import PRICES_2017, PriceBook
 from repro.errors import ConfigurationError
 from repro.sim import vecmath
+from repro.sim.engine import (
+    MergedDigests,
+    ShardFold,
+    fleet_sla_report,
+    handler_components,
+    map_jobs,
+    merge_totals,
+    meter_requests,
+    meter_rollup,
+    served_tracker,
+)
 from repro.sim.latency import LatencyModel
-from repro.sim.metrics import AvailabilityTracker, MetricSeries, sla_report
+from repro.sim.metrics import AvailabilityTracker, MetricSeries
 from repro.sim.profile import PerfCounters
 from repro.sim.rng import SeededRng
-from repro.sim.scale import (
-    _BILLING_GRANULARITY_MICROS,
-    _USAGE_PER_COMPONENT,
-    HANDLER_COMPONENTS,
-    ScaleConfig,
-    handler_components,
-    run_fleet,
-)
-from repro.units import DAYS_PER_MONTH
+from repro.sim.scale import PlanKnobs, ScaleConfig, run_fleet
 from repro.sim.workload import HOURLY_PROFILE_PERSONAL, DiurnalWorkload
-from repro.units import MICROS_PER_HOUR
+from repro.units import DAYS_PER_MONTH
 
 __all__ = [
     "DEFAULT_LOGICAL_SHARDS",
@@ -108,28 +118,40 @@ def shard_of(tenant_id: int, shards: int = DEFAULT_LOGICAL_SHARDS) -> int:
     return x % shards
 
 
+def _shard_map(tenants: int, shards: int):
+    """Every tenant's logical shard, ``shard_of`` over ``range(tenants)``.
+
+    An int64 ``ndarray`` under numpy, a list under the fallback; the
+    values are identical either way (splitmix64 is exact integer math
+    in both).
+    """
+    np = vecmath.numpy_or_none()
+    if np is None:
+        return [shard_of(t, shards) for t in range(tenants)]
+    ids = np.arange(tenants, dtype=np.uint64)
+    x = (ids + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(_MASK64)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    x = x ^ (x >> np.uint64(31))
+    return (x % np.uint64(shards)).astype(np.int64)
+
+
 def shard_tenants(
     tenants: int, shard_id: int, shards: int = DEFAULT_LOGICAL_SHARDS
 ):
     """Ascending tenant ids owned by ``shard_id`` (vectorized when possible).
 
     Returns an int64 ``ndarray`` under numpy, a list under the
-    fallback; the ids are identical either way (splitmix64 is exact
-    integer math in both).
+    fallback; the ids are identical either way.
     """
-    np = vecmath.numpy_or_none()
-    if np is None:
-        return [t for t in range(tenants) if shard_of(t, shards) == shard_id]
-    ids = np.arange(tenants, dtype=np.uint64)
-    x = (ids + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(_MASK64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> np.uint64(31))
-    return np.nonzero(x % np.uint64(shards) == np.uint64(shard_id))[0].astype(np.int64)
+    owners = _shard_map(tenants, shards)
+    if isinstance(owners, list):
+        return [t for t, owner in enumerate(owners) if owner == shard_id]
+    return (owners == shard_id).nonzero()[0].astype("int64")
 
 
 @dataclass(frozen=True)
-class FleetConfig:
+class FleetConfig(PlanKnobs):
     """One sharded-fleet scenario: ``tenants`` accounts over ``days`` days.
 
     Defaults model the paper's setting at headline scale: a million
@@ -172,20 +194,6 @@ class FleetConfig:
             raise ConfigurationError("chunk_events must be positive")
         if self.latency_samples <= 0:
             raise ConfigurationError("latency_samples must be positive")
-
-    @classmethod
-    def from_plan(cls, plan, **overrides) -> "FleetConfig":
-        """A sharded-fleet config from a :class:`~repro.plan.DeploymentPlan`.
-
-        The plan sets storage and (when not ``None``) memory; keyword
-        ``overrides`` set everything else. The default plan reproduces
-        ``FleetConfig()`` exactly.
-        """
-        fields: Dict[str, object] = {"storage": plan.storage}
-        if plan.memory_mb is not None:
-            fields["memory_mb"] = plan.memory_mb
-        fields.update(overrides)
-        return cls(**fields)
 
     def components(self) -> Tuple[str, ...]:
         return handler_components(self.storage)
@@ -274,102 +282,44 @@ def run_shard(
         )
     start = time.perf_counter()
     np = vecmath.numpy_or_none()
-    health = None
-    if collect_health:
-        from repro.obs.metrics import MetricsPlane
-
-        health = MetricsPlane()
     tenant_ids = shard_tenants(config.tenants, shard_id, config.logical_shards)
     n_t = len(tenant_ids)
-    if n_t == 0 or config.daily_requests == 0:
-        return ShardResult(
-            shard_id=shard_id, tenant_count=n_t, events=0, billed_units=0,
-            tenant_counts=[0] * n_t, latency_ms=[], hod_hist=[0] * 24,
-            samples_drawn=0, run_seconds=time.perf_counter() - start,
-            health=health,
-        )
-    workload = DiurnalWorkload(
-        config.daily_requests * n_t,
-        _shard_rng(config, shard_id, "workload"),
-        HOURLY_PROFILE_PERSONAL,
+    fold = ShardFold(
+        LatencyModel(rng=_shard_rng(config, shard_id, "latency")),
+        config.components(), config.memory_mb, config.sample_stride(), collect_health,
     )
-    assign_rng = _shard_rng(config, shard_id, "assign")
-    model = LatencyModel(rng=_shard_rng(config, shard_id, "latency"))
-    put_component = config.components()[1]
-    memory_mb = config.memory_mb
-    granularity = _BILLING_GRANULARITY_MICROS
-    stride = config.sample_stride()
     counts = np.zeros(n_t, dtype=np.int64) if np is not None else [0] * n_t
-    hod = np.zeros(24, dtype=np.int64) if np is not None else [0] * 24
-    events = 0
-    billed_units = 0
-    latency_ms: List[float] = []
-    for chunk in workload.arrival_batches_vec(config.days, chunk=config.chunk_events):
-        n = len(chunk)
-        assign = assign_rng.uniform_block(n)
-        base = model.sample_block_vec("lambda.handler_base", n, memory_mb)
-        store_put = model.sample_block_vec(put_component, n, memory_mb)
-        sqs_send = model.sample_block_vec("sqs.send", n, memory_mb)
-        # First event index in this chunk that lands on the sampling stride.
-        first = (-events) % stride
-        if np is not None and not isinstance(base, list):
-            idx = (np.asarray(assign) * n_t).astype(np.int64)
-            # u < 1.0 can still round up to n_t at large n_t; clamp like
-            # the scalar path's min().
-            np.minimum(idx, n_t - 1, out=idx)
-            counts += np.bincount(idx, minlength=n_t)
-            run_micros = base + store_put + sqs_send
-            units = (run_micros + (granularity - 1)) // granularity
-            np.maximum(units, 1, out=units)
-            billed_units += int(units.sum())
-            hours = (np.asarray(chunk, dtype=np.int64) // MICROS_PER_HOUR) % 24
-            hod += np.bincount(hours, minlength=24)
-            if first < n:
-                picks = run_micros[first::stride]
-                latency_ms.extend((picks / 1000.0).tolist())
-            if health is not None:
-                health.histogram("fleet.request_us").observe_block(run_micros)
-        else:
-            if health is not None:
-                health.histogram("fleet.request_us").observe_block(
-                    [base[i] + store_put[i] + sqs_send[i] for i in range(n)]
-                )
-            for u in assign:
-                counts[min(int(u * n_t), n_t - 1)] += 1
-            for i in range(n):
-                run_micros = base[i] + store_put[i] + sqs_send[i]
-                units = (run_micros + (granularity - 1)) // granularity
-                billed_units += units if units > 0 else 1
-                if i >= first and (i - first) % stride == 0:
-                    latency_ms.append(run_micros / 1000.0)
-            for at_micros in chunk:
-                hod[(at_micros // MICROS_PER_HOUR) % 24] += 1
-        events += n
-    if health is not None:
-        health.counter("fleet.requests").inc(events)
-        health.counter("fleet.billed_ms").inc(billed_units * 100)
+    if n_t and config.daily_requests:
+        workload = DiurnalWorkload(
+            config.daily_requests * n_t,
+            _shard_rng(config, shard_id, "workload"),
+            HOURLY_PROFILE_PERSONAL,
+        )
+        assign_rng = _shard_rng(config, shard_id, "assign")
+        for chunk in workload.arrival_batches_vec(config.days, chunk=config.chunk_events):
+            assign = assign_rng.uniform_block(len(chunk))
+            if np is not None:
+                idx = (np.asarray(assign) * n_t).astype(np.int64)
+                # u < 1.0 can still round up to n_t at large n_t; clamp
+                # like the scalar path's min().
+                np.minimum(idx, n_t - 1, out=idx)
+                counts += np.bincount(idx, minlength=n_t)
+            else:
+                for u in assign:
+                    counts[min(int(u * n_t), n_t - 1)] += 1
+            fold.add(chunk)
+        fold.count_health()
     return ShardResult(
         shard_id=shard_id,
         tenant_count=n_t,
-        events=events,
-        billed_units=billed_units,
         tenant_counts=[int(c) for c in counts],
-        latency_ms=latency_ms,
-        hod_hist=[int(h) for h in hod],
-        samples_drawn=model.samples_drawn,
         run_seconds=time.perf_counter() - start,
-        health=health,
+        **fold.fields(),
     )
 
 
-def _shard_job(payload: Tuple[FleetConfig, int, bool]) -> ShardResult:
-    """Module-level worker entry point (picklable for the process pool)."""
-    config, shard_id, collect_health = payload
-    return run_shard(config, shard_id, collect_health)
-
-
 @dataclass
-class ShardedFleetResult:
+class ShardedFleetResult(MergedDigests):
     """The merged fleet: exact totals, the priced invoice, the SLA view."""
 
     config: FleetConfig
@@ -390,36 +340,6 @@ class ShardedFleetResult:
     # Merged fleet-wide health plane when shards collected health.
     health: Optional[object] = None
 
-    def total_billed_ms(self) -> int:
-        return self.billed_units * 100
-
-    def counts_sha256(self) -> str:
-        """Digest of the per-tenant event counts, the byte-identity probe."""
-        payload = ",".join(map(str, self.tenant_counts)).encode("ascii")
-        return hashlib.sha256(payload).hexdigest()
-
-    def exposition_sha256(self) -> Optional[str]:
-        """Digest of the merged health plane's JSONL exposition, if any."""
-        if self.health is None:
-            return None
-        return hashlib.sha256(self.health.to_jsonl().encode("ascii")).hexdigest()
-
-    def determinism_digest(self) -> Dict[str, object]:
-        """Everything two runs must agree on byte-for-byte."""
-        digest = {
-            "events": self.events,
-            "billed_units": self.billed_units,
-            "invoice_total": self.invoice_total,
-            "tenant_counts_sha256": self.counts_sha256(),
-            "sla_report": json.loads(json.dumps(self.report)),
-            "latency_p99_ms": self.latency.p99() if len(self.latency) else None,
-        }
-        # Only present with health collection on, so health-off digests
-        # stay byte-identical to the seed's.
-        if self.health is not None:
-            digest["exposition_sha256"] = self.exposition_sha256()
-        return digest
-
 
 def merge_shards(
     config: FleetConfig,
@@ -428,72 +348,20 @@ def merge_shards(
 ) -> ShardedFleetResult:
     """Fold shard results into fleet totals, order-independently.
 
-    Inputs are canonicalized by shard id, every count adds exactly in
-    integers, and the two float billing quantities are computed *once*
-    from the merged integers (the same single-expression conversions
-    :func:`repro.sim.scale._meter_tenant_rollup` uses) — so the invoice
-    cannot depend on which worker delivered which shard first.
+    The shared part — shard-id order, health planes, hour-of-day,
+    latency series — is :func:`repro.sim.engine.merge_totals`. Tenant
+    counts go back to their tenants through one tenant→shard map, and
+    the two float billing quantities are computed *once* from the
+    merged integers (:func:`repro.sim.engine.meter_rollup`) — so the
+    invoice cannot depend on which worker delivered which shard first.
     """
-    ordered = sorted(results, key=lambda r: r.shard_id)
-    if len({r.shard_id for r in ordered}) != len(ordered):
-        raise ConfigurationError("duplicate shard id in merge")
-    health = None
-    if any(r.health is not None for r in ordered):
-        # Counter/histogram merges are integer-exact and commutative, so
-        # folding in shard-id order here is a canonicalization, not a
-        # requirement — any order gives the same exposition bytes.
-        from repro.obs.metrics import MetricsPlane
-
-        health = MetricsPlane()
-        for result in ordered:
-            if result.health is not None:
-                health.merge(result.health)
-    np = vecmath.numpy_or_none()
-    tenant_counts = (
-        np.zeros(config.tenants, dtype=np.int64) if np is not None
-        else [0] * config.tenants
-    )
-    events = 0
-    billed_units = 0
-    samples_drawn = 0
-    hod = [0] * 24
-    shard_events = [0] * config.logical_shards
-    latency = MetricSeries("fleet.e2e_ms", "ms")
-    tracker = AvailabilityTracker()
-    for result in ordered:
-        ids = shard_tenants(config.tenants, result.shard_id, config.logical_shards)
-        if len(ids) != result.tenant_count:
-            raise ConfigurationError(
-                f"shard {result.shard_id} result does not match config "
-                f"({result.tenant_count} tenants vs {len(ids)})"
-            )
-        if np is not None and not isinstance(tenant_counts, list):
-            tenant_counts[ids] = np.asarray(result.tenant_counts, dtype=np.int64)
-        else:
-            for tenant, count in zip(ids, result.tenant_counts):
-                tenant_counts[tenant] = count
-        events += result.events
-        billed_units += result.billed_units
-        samples_drawn += result.samples_drawn
-        shard_events[result.shard_id] = result.events
-        for hour in range(24):
-            hod[hour] += result.hod_hist[hour]
-        shard_series = MetricSeries(f"shard-{result.shard_id}.e2e_ms", "ms")
-        shard_series.extend(result.latency_ms)
-        latency.merge(shard_series)
-        shard_tracker = AvailabilityTracker()
-        shard_tracker.attempts = result.events
-        shard_tracker.successes = result.events
-        tracker.merge(shard_tracker)
+    ordered, totals = merge_totals(results, config.logical_shards, "fleet.e2e_ms")
+    events = totals["events"]
     meter = BillingMeter()
-    total_billed_ms = billed_units * 100
-    memory_gb = config.memory_mb / 1024
-    store_kind = _USAGE_PER_COMPONENT[config.components()[1]]
-    meter.record_batch(UsageKind.LAMBDA_REQUESTS, float(events), events)
-    meter.record_batch(store_kind, float(events), events)
-    meter.record_batch(UsageKind.SQS_REQUESTS, float(events), events)
-    meter.record(UsageKind.LAMBDA_GB_SECONDS, total_billed_ms * memory_gb / 1000.0)
-    meter.record(UsageKind.TRANSFER_OUT_GB, events * config.payload_bytes / 1e9)
+    meter_requests(meter, config.components(), events)
+    meter_rollup(
+        meter, config.memory_mb, totals["billed_units"] * 100, events * config.payload_bytes
+    )
     if config.storage_gb_per_tenant > 0:
         gb_months = (
             config.storage_gb_per_tenant * config.tenants
@@ -505,38 +373,57 @@ def merge_shards(
         )
         meter.record(storage_kind, gb_months)
     invoice = Invoice(meter, prices)
-    report = sla_report(
-        tracker,
-        delivered=events,
-        expected=events,
-        latency_ms=latency,
-    )
     return ShardedFleetResult(
         config=config,
         workers=0,  # set by run_fleet_sharded
-        events=events,
-        billed_units=billed_units,
-        tenant_counts=[int(c) for c in tenant_counts],
-        hod_hist=hod,
-        shard_events=shard_events,
-        samples_drawn=samples_drawn,
-        latency=latency,
-        tracker=tracker,
+        tenant_counts=_place_tenant_counts(config, ordered),
+        tracker=served_tracker(events),
         meter=meter,
         invoice=invoice,
         invoice_total=str(invoice.total()),
-        report=report,
+        report=fleet_sla_report(events, totals["latency"]),
         perf=PerfCounters(),
-        health=health,
+        **totals,
     )
 
 
-def _pool_context():
-    """Prefer fork (cheap, shares the loaded tables); fall back to spawn."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-forking platforms
-        return multiprocessing.get_context()
+def _place_tenant_counts(config: FleetConfig, ordered: Sequence[ShardResult]) -> List[int]:
+    """Fleet-wide per-tenant counts, through one tenant→shard map.
+
+    A stable argsort of the map lists each shard's tenants together and
+    in ascending id order — the order a shard lists its counts in — so
+    the counts, laid end to end by shard id, scatter back in one step.
+    Shards missing from ``ordered`` leave their tenants at zero.
+    """
+    np = vecmath.numpy_or_none()
+    owners = _shard_map(config.tenants, config.logical_shards)
+    if np is None:
+        order = sorted(range(config.tenants), key=owners.__getitem__)
+        sizes = Counter(owners)
+    else:
+        order = np.argsort(owners, kind="stable")
+        sizes = np.bincount(owners, minlength=config.logical_shards).tolist()
+    by_shard = {result.shard_id: result for result in ordered}
+    values: List[int] = []
+    for shard_id in range(config.logical_shards):
+        result = by_shard.get(shard_id)
+        if result is None:
+            values.extend([0] * sizes[shard_id])
+            continue
+        if result.tenant_count != sizes[shard_id]:
+            raise ConfigurationError(
+                f"shard {shard_id} result does not match config "
+                f"({result.tenant_count} tenants vs {sizes[shard_id]})"
+            )
+        values.extend(result.tenant_counts)
+    if np is None:
+        counts = [0] * config.tenants
+        for tenant, count in zip(order, values):
+            counts[tenant] = count
+        return counts
+    counts = np.empty(config.tenants, dtype=np.int64)
+    counts[order] = values
+    return counts.tolist()
 
 
 def run_fleet_sharded(
@@ -555,22 +442,13 @@ def run_fleet_sharded(
     the merge folds them — the merged exposition is byte-identical
     across worker counts too (the digest gains ``exposition_sha256``).
     """
-    if workers <= 0:
-        raise ConfigurationError(f"worker count must be positive, got {workers}")
     perf = PerfCounters()
     jobs = [
         (config, shard_id, collect_health)
         for shard_id in range(config.logical_shards)
     ]
     with perf.phase("simulate"):
-        if workers == 1 or config.logical_shards == 1:
-            results = [run_shard(config, shard_id, collect_health) for _, shard_id, _ in jobs]
-        else:
-            ctx = _pool_context()
-            pool_size = min(workers, config.logical_shards)
-            chunksize = max(1, config.logical_shards // (pool_size * 4))
-            with ctx.Pool(pool_size) as pool:
-                results = pool.map(_shard_job, jobs, chunksize=chunksize)
+        results = map_jobs(run_shard, jobs, workers)
     with perf.phase("merge"):
         merged = merge_shards(config, results, prices)
     with perf.phase("invoice"):

@@ -16,6 +16,7 @@ The load-bearing claims, each pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -158,15 +159,17 @@ class TestRecordReplayFixpoint:
         assert recorded.total_billed_ms == plain.total_billed_ms
         assert len(recorder.trace().events) == plain.arrivals
 
-    def test_replay_reproduces_the_recorded_run(self, tmp_path):
+    @pytest.mark.parametrize("storage", ("s3", "dynamo"))
+    def test_replay_reproduces_the_recorded_run(self, tmp_path, storage):
+        config = dataclasses.replace(FIXPOINT_CONFIG, storage=storage)
         recorder = TraceRecorder(
-            name="fix", seed=FIXPOINT_CONFIG.seed, tenants=FIXPOINT_CONFIG.tenants
+            name="fix", seed=config.seed, tenants=config.tenants
         )
-        recorded = run_fleet(FIXPOINT_CONFIG, "batched", recorder=recorder)
+        recorded = run_fleet(config, "batched", recorder=recorder)
         path = tmp_path / "fix.jsonl.gz"
         recorder.write(path)
 
-        replayed = run_replay_batched(read_trace(path), FIXPOINT_CONFIG)
+        replayed = run_replay_batched(read_trace(path), config)
         # The fixpoint: invoice, per-tenant counts, billed time, and the
         # SLA report all byte-identical to the recorded run.
         assert replayed.invoice_total == recorded.invoice_total
