@@ -14,7 +14,9 @@ test:
 # StateStore — no direct storage-client calls and no hand-rolled
 # "{instance}-<suffix>" resource names outside repro/runtime — and
 # each shared decision has one home (trace parsing, DIY_STORAGE,
-# exposition, the fleet engines' billing rule and worker pool).
+# exposition, the fleet engines' billing rule and worker pool). Crypto
+# reaches numpy only through repro.sim.vecmath.numpy_or_none, so the
+# _FORCE_FALLBACK hook pins its scalar path too.
 lint:
 	@! grep -rn "ctx\.services\.s3_get\|ctx\.services\.s3_put\|ctx\.services\.s3_list\|ctx\.services\.s3_delete\|ctx\.services\.dynamo_" src/repro/apps/ \
 		|| { echo "lint: apps must use kctx.store, not raw storage clients"; exit 1; }
@@ -30,6 +32,8 @@ lint:
 		|| { echo "lint: only repro.obs.metrics emits Prometheus exposition"; exit 1; }
 	@! grep -rn '_BILLING_GRANULARITY_MICROS\|ProcessPoolExecutor(\|\.Pool(' src/repro --include="*.py" | grep -v "sim/engine\.py" \
 		|| { echo "lint: the 100 ms billing rule and the worker pool live only in repro.sim.engine"; exit 1; }
+	@! grep -rn 'import numpy\|from numpy' src/repro/crypto/ --include="*.py" \
+		|| { echo "lint: repro.crypto reaches numpy only through vecmath.numpy_or_none()"; exit 1; }
 	@echo "lint: OK"
 
 # The paper-reproduction benchmark suite (pytest-benchmark based).

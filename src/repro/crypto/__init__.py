@@ -14,9 +14,18 @@ network — sees only ciphertext. This package provides the primitives:
 - :mod:`repro.crypto.pgp` — hybrid public-key message format standing in
   for PGP in the email application.
 
-The paper used AES-based PGP; we substitute ChaCha20-Poly1305 (pure
-Python AES would be both slow and easy to get wrong) — the envelope
-structure, which is what the privacy argument relies on, is identical.
+The paper used AES-based PGP; we substitute ChaCha20-Poly1305 (a
+hand-written AES would be both slow and easy to get wrong) — the
+envelope structure, which is what the privacy argument relies on, is
+identical.
+
+Everything is written in Python with no crypto library. The ChaCha20
+keystream has two kernels with identical output: a numpy multi-block
+kernel for messages of :data:`~repro.crypto.chacha20.NUMPY_MIN_BLOCKS`
+blocks or more, and an unrolled scalar block for shorter messages and
+for hosts without numpy. numpy is reached only through
+:func:`repro.sim.vecmath.numpy_or_none` (``make lint`` enforces it).
+Poly1305 and X25519 are scalar Python integer arithmetic.
 """
 
 from repro.crypto.aead import ChaCha20Poly1305, seal, open_sealed

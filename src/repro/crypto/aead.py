@@ -1,8 +1,11 @@
 """ChaCha20-Poly1305 AEAD construction (RFC 8439 §2.8).
 
 A one-time Poly1305 key is derived from block 0 of the ChaCha20
-keystream; the ciphertext starts at block 1. The tag authenticates
-``aad || pad || ciphertext || pad || len(aad) || len(ciphertext)``.
+keystream; the ciphertext starts at block 1. Both come from one
+keystream call from counter 0 over ``64 zero bytes || data``, so a
+message is one call into the cipher's kernel, not two. The tag
+authenticates ``aad || pad || ciphertext || pad || len(aad) ||
+len(ciphertext)``.
 Tag comparison is constant-time (:func:`hmac.compare_digest`).
 """
 
@@ -11,7 +14,7 @@ from __future__ import annotations
 import hmac
 import struct
 
-from repro.crypto.chacha20 import KEY_SIZE, NONCE_SIZE, chacha20_block, chacha20_encrypt
+from repro.crypto.chacha20 import BLOCK_SIZE, KEY_SIZE, NONCE_SIZE, chacha20_encrypt
 from repro.crypto.poly1305 import TAG_SIZE, poly1305_mac
 from repro.errors import AuthenticationFailure, CryptoError
 
@@ -24,8 +27,10 @@ def _pad16(data: bytes) -> bytes:
     return b"\x00" * (16 - len(data) % 16)
 
 
-def _poly_key(key: bytes, nonce: bytes) -> bytes:
-    return chacha20_block(key, 0, nonce)[:32]
+def _keystream_xor(key: bytes, nonce: bytes, data: bytes):
+    """``(poly1305 key, data XOR keystream from block 1)`` in one call."""
+    stream = chacha20_encrypt(key, 0, nonce, bytes(BLOCK_SIZE) + data)
+    return stream[:32], stream[BLOCK_SIZE:]
 
 
 def _auth_input(aad: bytes, ciphertext: bytes) -> bytes:
@@ -43,8 +48,8 @@ def _auth_input(aad: bytes, ciphertext: bytes) -> bytes:
 
 def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
     """Encrypt and authenticate; returns ``ciphertext || tag``."""
-    ciphertext = chacha20_encrypt(key, 1, nonce, plaintext)
-    tag = poly1305_mac(_poly_key(key, nonce), _auth_input(aad, ciphertext))
+    poly_key, ciphertext = _keystream_xor(key, nonce, plaintext)
+    tag = poly1305_mac(poly_key, _auth_input(aad, ciphertext))
     return ciphertext + tag
 
 
@@ -53,10 +58,13 @@ def open_sealed(key: bytes, nonce: bytes, sealed: bytes, aad: bytes = b"") -> by
     if len(sealed) < TAG_SIZE:
         raise CryptoError("sealed box shorter than the authentication tag")
     ciphertext, tag = sealed[:-TAG_SIZE], sealed[-TAG_SIZE:]
-    expected = poly1305_mac(_poly_key(key, nonce), _auth_input(aad, ciphertext))
+    # The plaintext is computed with the key but released only once the
+    # tag verifies.
+    poly_key, plaintext = _keystream_xor(key, nonce, ciphertext)
+    expected = poly1305_mac(poly_key, _auth_input(aad, ciphertext))
     if not hmac.compare_digest(tag, expected):
         raise AuthenticationFailure("Poly1305 tag mismatch; ciphertext rejected")
-    return chacha20_encrypt(key, 1, nonce, ciphertext)
+    return plaintext
 
 
 class ChaCha20Poly1305:

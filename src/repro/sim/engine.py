@@ -20,7 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import reprlib
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.billing import BillingMeter, UsageKind
@@ -294,12 +296,23 @@ def map_jobs(fn: Callable, jobs: Sequence[Tuple], workers: int) -> List:
     the workers by import path, so callers pass a module-level function.
     A worker that dies (OOM kill, ``os._exit``) raises
     :class:`~concurrent.futures.process.BrokenProcessPool` instead of
-    hanging the run.
+    hanging the run; its message names the first job that did not
+    return, as a call with shortened arguments, and its index.
     """
     if workers <= 0:
         raise ConfigurationError(f"worker count must be positive, got {workers}")
     if workers == 1 or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
     pool_size = min(workers, len(jobs))
+    results: List = []
     with ProcessPoolExecutor(pool_size, mp_context=_pool_context()) as pool:
-        return list(pool.map(fn, *zip(*jobs), chunksize=max(1, len(jobs) // (pool_size * 4))))
+        try:
+            for result in pool.map(fn, *zip(*jobs), chunksize=max(1, len(jobs) // (pool_size * 4))):
+                results.append(result)
+        except BrokenProcessPool as exc:
+            index = len(results)
+            call = f"{fn.__name__}({', '.join(map(reprlib.repr, jobs[index]))})"
+            raise BrokenProcessPool(
+                f"a pool worker died; job {index} of {len(jobs)}, {call}, did not return"
+            ) from exc
+    return results

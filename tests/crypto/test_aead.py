@@ -25,11 +25,16 @@ RFC_TAG = bytes.fromhex("1ae10b594f09e26a7e902ecbd0600691")
 
 
 class TestRfcVector:
-    def test_seal_matches_rfc(self):
-        assert seal(RFC_KEY, RFC_NONCE, SUNSCREEN, RFC_AAD) == RFC_CIPHERTEXT + RFC_TAG
+    """RFC 8439 §2.8.2 on both keystream kernels (numpy and fallback)."""
 
-    def test_open_matches_rfc(self):
-        assert open_sealed(RFC_KEY, RFC_NONCE, RFC_CIPHERTEXT + RFC_TAG, RFC_AAD) == SUNSCREEN
+    def test_seal_matches_rfc(self, keystream_paths):
+        for path in keystream_paths():
+            assert seal(RFC_KEY, RFC_NONCE, SUNSCREEN, RFC_AAD) == RFC_CIPHERTEXT + RFC_TAG, path
+
+    def test_open_matches_rfc(self, keystream_paths):
+        for path in keystream_paths():
+            sealed = RFC_CIPHERTEXT + RFC_TAG
+            assert open_sealed(RFC_KEY, RFC_NONCE, sealed, RFC_AAD) == SUNSCREEN, path
 
 
 class TestTamperRejection:

@@ -3,7 +3,8 @@
 * both folds — the scalar one of the batched engines and the vectorized
   one of the sharded engines, numpy and fallback — round run time to
   100 ms units exactly as the Lambda platform's price book does;
-* a pool worker that dies fails the run at once instead of hanging it;
+* a pool worker that dies fails the run at once instead of hanging it,
+  and the error names the first job that did not return;
 * ``merge_shards`` puts every tenant count back on its tenant through
   one tenant→shard map, on both paths and for partial merges too.
 """
@@ -11,6 +12,7 @@
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -63,6 +65,9 @@ class TestBillingRule:
 
 def _exit_on_shard_one(config, shard_id, collect_health=False):
     if shard_id == 1:
+        # Long enough for shard 0 to return first, so shard 1 is the
+        # first job that did not.
+        time.sleep(0.5)
         os._exit(3)
     return run_shard(config, shard_id, collect_health)
 
@@ -73,10 +78,13 @@ class TestWorkerPool:
             map_jobs(pow, [(2, 3)], workers=0)
 
     def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
-        monkeypatch.setattr(shard, "run_shard", _exit_on_shard_one)
         config = FleetConfig(tenants=200, days=1.0, logical_shards=4)
-        with pytest.raises(BrokenProcessPool):
+        run_shard(config, 0)  # build the latency tables before the pool forks
+        monkeypatch.setattr(shard, "run_shard", _exit_on_shard_one)
+        names_shard_one = r"job 1 of 4, _exit_on_shard_one\(.*, 1, False\)"
+        with pytest.raises(BrokenProcessPool, match=names_shard_one) as info:
             shard.run_fleet_sharded(config, workers=2)
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
 
 
 class TestTenantCountMerge:
